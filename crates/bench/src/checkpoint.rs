@@ -298,7 +298,7 @@ pub fn load_state_with_rollback(path: &Path) -> Result<(SearchState, Option<Stri
 /// Returns the result plus the evaluator's own counters and the
 /// adaptive scheduler's merged report, both of which are deliberately
 /// absent from the result (and the report from checkpoints' identity
-/// contract): cache hit rates, delta-patch counts, lowering-pass
+/// contract): cache hit rates, compile counts, lowering-pass
 /// counters and operator-credit tallies only describe how this process
 /// computed the trajectory, not the trajectory itself.
 ///

@@ -279,9 +279,9 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 }
 
 /// [`run_search`] plus the evaluator's own counters (cache hit rates,
-/// delta patches, lowering-pass counters) — observability the result
-/// deliberately omits, for the harnesses whose reports include them
-/// (`islands --json`, `delta_bench`, `opt_bench`).
+/// lowering-pass counters) — observability the result deliberately
+/// omits, for the harnesses whose reports include them
+/// (`islands --json`, `opt_bench`).
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
     let (result, stats, _) = run_search_report(w, spec);
@@ -491,8 +491,9 @@ mod tests {
                 w.mov,
                 w.swap,
                 w.replace
-            ],
-            [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+            ]
+            .map(f64::to_bits),
+            [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0].map(f64::to_bits)
         );
         std::env::remove_var("GEVO_MUT_WEIGHTS");
     }

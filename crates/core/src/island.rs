@@ -12,7 +12,7 @@
 //! island *vocabulary* — [`IslandConfig`], [`Topology`],
 //! [`MigrationEvent`], [`IslandResult`] — while the loop itself lives
 //! behind [`crate::Search`]; `Search::new(&w).config(ga).islands(4)`
-//! runs bit-for-bit what [`run_islands`] (now a deprecated shim) ran.
+//! runs four islands.
 //!
 //! Budget semantics: [`crate::GaConfig::population`] is the **total**
 //! across islands — `Search::new(&w).islands(4)` over a population of 32
@@ -51,10 +51,7 @@
 //! ```
 
 use crate::edit::Patch;
-use crate::fitness::Workload;
 use crate::ga::{GaConfig, GaResult, History, Individual};
-use crate::mutation::MutationWeights;
-use crate::search::Search;
 use serde::{Deserialize, Serialize};
 
 /// Where each island's emigrants go.
@@ -182,45 +179,11 @@ impl IslandResult {
     }
 }
 
-/// Runs the island-model GA with default mutation weights.
-///
-/// # Panics
-/// Panics if the pristine program fails its own test set (workload bug).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Search::new(w).config(ga).islands(n).run()` — same loop, same trajectories"
-)]
-#[must_use]
-pub fn run_islands(workload: &dyn Workload, cfg: &IslandConfig) -> IslandResult {
-    Search::from_spec(workload, cfg.clone().into())
-        .run()
-        .into_island_result()
-}
-
-/// [`run_islands`] with explicit mutation-operator weights.
-///
-/// # Panics
-/// Panics if the pristine program fails its own test set (workload bug).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Search::new(w).config(ga).islands(n).weights(w).run()`"
-)]
-#[must_use]
-pub fn run_islands_with_weights(
-    workload: &dyn Workload,
-    cfg: &IslandConfig,
-    weights: MutationWeights,
-) -> IslandResult {
-    Search::from_spec(workload, cfg.clone().into())
-        .weights(weights)
-        .run()
-        .into_island_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::EvalOutcome;
+    use crate::fitness::{EvalOutcome, Workload};
+    use crate::search::Search;
     use gevo_gpu::LaunchStats;
     use gevo_ir::{AddrSpace, Kernel, KernelBuilder, Operand, Special};
     use std::collections::HashMap;

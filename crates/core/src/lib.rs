@@ -22,9 +22,7 @@
 //!   (`Search::new(&w).config(ga).islands(4).objectives(&[...])`) over
 //!   the generational loop with elitism, tournament or NSGA-II
 //!   selection, island migration, streaming [`SearchObserver`]
-//!   callbacks and full history recording (Figs. 6 and 8). The legacy
-//!   free functions (`run_ga`, `run_islands`, ...) are deprecated shims
-//!   over it.
+//!   callbacks and full history recording (Figs. 6 and 8).
 //! * [`Objective`] — the minimized dimensions (cycles, correctness
 //!   error, memory-traffic/instruction proxies); two or more switch the
 //!   selector to NSGA-II non-dominated sorting and the run surfaces its
@@ -101,17 +99,11 @@ pub use analysis::{
 };
 pub use edit::{Edit, Patch};
 pub use fitness::{
-    EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, FaultClass, FaultTallies, NoDelta,
-    Workload, CACHE_SHARDS,
+    EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, FaultClass, FaultTallies, Workload,
+    CACHE_SHARDS,
 };
-#[allow(deprecated)]
-pub use ga::{
-    run_ga, run_ga_with_weights, GaConfig, GaResult, GenerationRecord, History, Individual,
-};
-#[allow(deprecated)]
-pub use island::{
-    run_islands, run_islands_with_weights, IslandConfig, IslandResult, MigrationEvent, Topology,
-};
+pub use ga::{GaConfig, GaResult, GenerationRecord, History, Individual};
+pub use island::{IslandConfig, IslandResult, MigrationEvent, Topology};
 pub use mutation::{
     crossover_one_point, crossover_uniform, MutationSpace, MutationWeights, SiteBias,
 };

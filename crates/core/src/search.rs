@@ -1,11 +1,9 @@
 //! The unified `Search` engine API: one composable session object in
 //! front of the whole evolutionary machinery.
 //!
-//! Historically the engine surface was four parallel free functions
-//! (`run_ga`, `run_ga_with_weights`, `run_islands`,
-//! `run_islands_with_weights`) hard-wired to one scalar fitness; every
-//! new knob had to fan out across all of them. [`Search`] replaces that
-//! with a builder over a single [`SearchSpec`]:
+//! One builder over a single [`SearchSpec`] covers the single-population
+//! GA, the island model, multi-objective selection and adaptive
+//! scheduling:
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -538,12 +536,11 @@ impl<'a> Search<'a> {
     }
 
     /// The evaluator's throughput counters so far — evals, cache hits,
-    /// compiles, delta patches and fallbacks, plus the per-class fault
-    /// tallies ([`crate::EvalStats`], [`crate::FaultTallies`]: how many
-    /// mutants the step budget killed, failed verification, faulted,
-    /// mis-computed, or panicked into quarantine). The bench harnesses
-    /// read these to report how much verify/lower work the delta path
-    /// avoided and how hostile the mutant population was; none of these
+    /// compiles, plus the per-class fault tallies ([`crate::EvalStats`],
+    /// [`crate::FaultTallies`]: how many mutants the step budget killed,
+    /// failed verification, faulted, mis-computed, or panicked into
+    /// quarantine). The bench harnesses read these to report how hostile
+    /// the mutant population was; none of these
     /// counters are result-visible (see [`crate::EvaluatorSnapshot`]).
     /// Materializes the engine, like [`Search::step`].
     pub fn eval_stats(&mut self) -> crate::EvalStats {
@@ -1163,9 +1160,7 @@ fn split_elitism(total: usize, n: usize) -> usize {
 /// variables of the old monolithic loop, now an explicit machine that
 /// [`Search::step`] advances one generation at a time and
 /// [`Search::checkpoint`]/[`Engine::restore`] move across process
-/// boundaries. With one objective and tournament selection the step
-/// sequence is line-for-line the legacy `run_islands_with_weights` loop
-/// (same RNG streams, same history).
+/// boundaries.
 struct Engine<'a> {
     evaluator: Evaluator<'a>,
     space: MutationSpace,

@@ -590,9 +590,8 @@ impl Workload for AdeptWorkload {
         }
     }
 
-    // `compile` is exactly the shared verify → DCE → lower pipeline
-    // against a fixed spec, so patched images are bit-identical to
-    // recompiled ones (DESIGN.md §3.7).
+    // No longer consulted by the engine; kept until the benchmark
+    // stops asserting it.
     fn supports_delta_patch(&self) -> bool {
         true
     }

@@ -86,3 +86,25 @@ fn uniform_policy_pins_pre_adapt_trajectory_on_simcov() {
         "Uniform trajectory drifted from the pre-adapt engine"
     );
 }
+
+/// Islands on `SIMCoV` through `Search::from_spec`: the configuration
+/// whose batches interleave several parents per generation. Captured
+/// on the engine that still carried delta compilation, the
+/// compiled-image cache and the `run_islands` shim, so it pins all
+/// three deletions as result-invisible.
+#[test]
+fn uniform_policy_pins_pre_adapt_trajectory_on_simcov_islands() {
+    let w = SimcovWorkload::new(SimcovConfig::scaled());
+    let spec = SearchSpec {
+        ga: tiny(5, 9, 4),
+        islands: 3,
+        migration_interval: 2,
+        ..SearchSpec::default()
+    };
+    let (crc, evals) = fingerprint(&w, &spec);
+    assert_eq!(
+        (crc, evals),
+        (0x0AE2_DB67, 20),
+        "Uniform island trajectory drifted from the pre-deletion engine"
+    );
+}

@@ -249,36 +249,3 @@ fn resume_refuses_a_mismatching_workload() {
     let state = search.checkpoint();
     let _ = Search::resume(&simcov, &state);
 }
-
-/// The delta-compilation path (PR 7) stays invisible **across the
-/// resume boundary**: the compiled-kernel cache — and every delta chain
-/// hanging off it — dies with the process (it is deliberately not
-/// checkpointed), so a run interrupted mid-search rebuilds some images
-/// by full recompile that the straight run produced by patching. The
-/// results must still match byte-for-byte — here pinned against a
-/// straight run with delta patching disabled entirely ([`NoDelta`]),
-/// the strictest of the three-way equivalences.
-#[test]
-fn delta_evaluation_is_invisible_across_resume() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let spec = SearchSpec {
-        ga: tiny(3, 12, 8),
-        islands: 2,
-        migration_interval: 2,
-        ..SearchSpec::default()
-    };
-    let plain_w = NoDelta(&w);
-    let (want_bytes, want_events) = straight(&plain_w, &spec);
-    for k in [1, 4, 7] {
-        let (got_bytes, got_events) = interrupted(&w, &spec, k);
-        assert_eq!(
-            got_bytes, want_bytes,
-            "delta + resume diverged from recompile-only (k = {k})"
-        );
-        assert_eq!(
-            got_events.as_slice(),
-            &want_events[want_events.len() - got_events.len()..],
-            "observer stream diverged (k = {k})"
-        );
-    }
-}
